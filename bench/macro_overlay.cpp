@@ -7,10 +7,11 @@
 ///    commands, so whole waves of CommandOutput envelopes (plus the
 ///    follow-up WorkloadRequest) complete in the same event-loop tick and
 ///    coalesce into single Batch frames. A mild seeded fault plan keeps
-///    the reliability machinery honest. The headline is sustained
-///    wall-clock commands/sec: every wire frame pays host-side routing
-///    (per-hop Dijkstra), scheduling and allocation, so cutting frames
-///    ~5x shows up directly as throughput.
+///    the reliability machinery honest. The headlines are frames per
+///    command and sustained wall-clock commands/sec: every wire frame pays
+///    host-side routing, scheduling and allocation. Since routes are
+///    memoised, routing no longer dominates a frame's cost, so cutting
+///    frames ~5x barely moves throughput.
 ///
 ///  - "sparse": an open-loop trickle. Long commands on single-core
 ///    workers plus a wide-area client pinging project status every few

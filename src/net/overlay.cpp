@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <queue>
+#include <memory>
 
 #include "util/logging.hpp"
 #include "util/random.hpp"
@@ -22,6 +22,8 @@ constexpr std::uint64_t kTraceLinkDown = 6;
 constexpr std::uint64_t kTraceLinkUp = 7;
 constexpr std::uint64_t kTraceNodeDown = 8;
 constexpr std::uint64_t kTraceNodeUp = 9;
+
+constexpr double kUnreached = std::numeric_limits<double>::infinity();
 
 } // namespace
 
@@ -91,6 +93,8 @@ OverlayNetwork::OverlayNetwork(EventLoop& loop) : loop_(&loop) {}
 
 NodeId OverlayNetwork::registerNode(Node& node) {
     nodes_.push_back(&node);
+    adjacency_.emplace_back();
+    downNodes_.push_back(0);
     return NodeId(nodes_.size() - 1);
 }
 
@@ -115,67 +119,105 @@ void OverlayNetwork::connect(NodeId a, NodeId b, LinkProperties props) {
                               na.name() + " <-> " + nb.name() + ")");
     COP_REQUIRE(props.latency >= 0.0 && props.bandwidth > 0.0,
                 "invalid link properties");
-    const auto key = keyOf(a, b);
-    COP_REQUIRE(links_.find(key) == links_.end(), "link already exists");
-    links_[key] = Link{props, {}};
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
+    COP_REQUIRE(findLink(a, b) == kNoLink, "link already exists");
+    const auto id = LinkId(links_.size());
+    links_.push_back(Link{std::min(a, b), std::max(a, b), props, {}, 0});
+    adjacency_[std::size_t(a)].push_back({b, id});
+    adjacency_[std::size_t(b)].push_back({a, id});
+    routes_.clear();
+}
+
+OverlayNetwork::LinkId OverlayNetwork::findLink(NodeId a, NodeId b) const {
+    const auto n = adjacency_.size();
+    if (a < 0 || b < 0 || std::size_t(a) >= n || std::size_t(b) >= n)
+        return kNoLink;
+    // Scan the shorter list: a worker's single uplink, not its hub's fleet.
+    const auto& la = adjacency_[std::size_t(a)];
+    const auto& lb = adjacency_[std::size_t(b)];
+    const bool fromA = la.size() <= lb.size();
+    const NodeId peer = fromA ? b : a;
+    for (const Adjacent& e : fromA ? la : lb)
+        if (e.peer == peer) return e.link;
+    return kNoLink;
 }
 
 bool OverlayNetwork::connected(NodeId a, NodeId b) const {
-    return links_.find(keyOf(a, b)) != links_.end();
-}
-
-std::vector<NodeId> OverlayNetwork::neighbors(NodeId id) const {
-    auto it = adjacency_.find(id);
-    if (it == adjacency_.end()) return {};
-    return it->second;
+    return findLink(a, b) != kNoLink;
 }
 
 bool OverlayNetwork::nodeUp(NodeId id) const {
-    auto it = downNodes_.find(id);
-    return it == downNodes_.end() || it->second == 0;
+    return id < 0 || std::size_t(id) >= downNodes_.size() ||
+           downNodes_[std::size_t(id)] == 0;
 }
 
 bool OverlayNetwork::linkUsable(NodeId a, NodeId b) const {
-    if (!connected(a, b)) return false;
-    auto it = downLinks_.find(keyOf(a, b));
-    if (it != downLinks_.end() && it->second > 0) return false;
-    return nodeUp(a) && nodeUp(b);
+    const LinkId id = findLink(a, b);
+    return id != kNoLink && links_[id].cuts == 0 && nodeUp(a) && nodeUp(b);
 }
 
 NodeId OverlayNetwork::nextHop(NodeId from, NodeId to) const {
     if (from == to) return to;
     if (!nodeUp(from) || !nodeUp(to)) return kInvalidNode;
-    // Dijkstra from `from` by total latency over usable links; return the
-    // first hop of the best path. Networks are tiny (paper: "no more than
-    // a handful of servers"), so recomputing per call is simpler than
-    // caching — and stays correct as links cut and heal.
-    const std::size_t n = nodes_.size();
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<NodeId> firstHop(n, kInvalidNode);
-    using QE = std::pair<double, NodeId>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-    dist[std::size_t(from)] = 0.0;
-    pq.push({0.0, from});
-    while (!pq.empty()) {
-        const auto [d, u] = pq.top();
-        pq.pop();
-        if (d > dist[std::size_t(u)]) continue;
+    return route(from, to).hop;
+}
+
+OverlayNetwork::Route OverlayNetwork::route(NodeId from, NodeId to) const {
+    // The overlay is small and changes rarely while traffic crosses it on
+    // every hop, so each queried pair is searched once per topology.
+    const std::uint64_t pair =
+        (std::uint64_t(std::uint32_t(from)) << 32) | std::uint32_t(to);
+    const auto [it, miss] = routes_.try_emplace(pair);
+    if (miss) it->second = searchRoute(from, to);
+    return it->second;
+}
+
+OverlayNetwork::Route OverlayNetwork::searchRoute(NodeId from,
+                                                  NodeId to) const {
+    // Dijkstra from `from` by total latency over usable links, stopping
+    // when `to` settles; the route is the first hop of the best path. Pop
+    // order is (dist, NodeId) and neighbours relax in connect order with a
+    // strict `<`, so equal-latency ties always resolve the same way —
+    // routes, and with them traceHash(), depend on it.
+    RouteSearch& s = search_;
+    if (s.dist.size() < nodes_.size()) {
+        s.dist.resize(nodes_.size(), kUnreached);
+        s.first.resize(nodes_.size());
+    }
+    const auto later = std::greater<std::pair<double, NodeId>>{};
+    s.dist[std::size_t(from)] = 0.0;
+    s.touched.push_back(from);
+    s.heap.push_back({0.0, from});
+    while (!s.heap.empty()) {
+        std::pop_heap(s.heap.begin(), s.heap.end(), later);
+        const auto [d, u] = s.heap.back();
+        s.heap.pop_back();
+        if (d > s.dist[std::size_t(u)]) continue;
         if (u == to) break;
-        for (NodeId v : neighbors(u)) {
-            if (!linkUsable(u, v)) continue;
-            const auto& link = links_.at(keyOf(u, v));
+        // `u` is up: it is `from` or was reached over a usable link.
+        for (const Adjacent& e : adjacency_[std::size_t(u)]) {
+            const Link& link = links_[e.link];
+            if (link.cuts > 0 || !nodeUp(e.peer)) continue;
             const double nd = d + link.props.latency;
-            if (nd < dist[std::size_t(v)]) {
-                dist[std::size_t(v)] = nd;
-                firstHop[std::size_t(v)] =
-                    (u == from) ? v : firstHop[std::size_t(u)];
-                pq.push({nd, v});
+            double& best = s.dist[std::size_t(e.peer)];
+            if (nd < best) {
+                if (best == kUnreached) s.touched.push_back(e.peer);
+                best = nd;
+                s.first[std::size_t(e.peer)] =
+                    u == from ? Route{e.peer, e.link}
+                              : s.first[std::size_t(u)];
+                s.heap.push_back({nd, e.peer});
+                std::push_heap(s.heap.begin(), s.heap.end(), later);
             }
         }
     }
-    return firstHop[std::size_t(to)];
+    const Route found = s.first[std::size_t(to)];
+    for (NodeId v : s.touched) {
+        s.dist[std::size_t(v)] = kUnreached;
+        s.first[std::size_t(v)] = Route{};
+    }
+    s.touched.clear();
+    s.heap.clear();
+    return found;
 }
 
 void OverlayNetwork::send(Message msg) {
@@ -202,12 +244,13 @@ void OverlayNetwork::forward(Message msg, NodeId at) {
         deadLetter(msg, DeadLetterReason::DestinationDown);
         return;
     }
-    const NodeId hop = nextHop(at, msg.destination);
-    if (hop == kInvalidNode) {
+    const Route next = route(at, msg.destination);
+    if (next.hop == kInvalidNode) {
         deadLetter(msg, DeadLetterReason::NoRoute);
         return;
     }
-    auto& link = links_.at(keyOf(at, hop));
+    const NodeId hop = next.hop;
+    Link& link = links_[next.link];
     // On shared-filesystem links, bulk payloads are exchanged through the
     // filesystem; only the framing crosses the network. Batch frames carry
     // their bulk sub-payload byte count explicitly so coalescing does not
@@ -234,7 +277,7 @@ void OverlayNetwork::forward(Message msg, NodeId at) {
     int copies = 1;
     double extraDelay[2] = {0.0, 0.0};
     if (planActive_) {
-        const FaultProfile& prof = profileFor(keyOf(at, hop));
+        const FaultProfile& prof = profileFor(link);
         if (prof.active()) {
             if (prof.dropProbability > 0.0 &&
                 faultRng_.uniform() < prof.dropProbability) {
@@ -286,8 +329,8 @@ void OverlayNetwork::deadLetter(const Message& msg, DeadLetterReason reason) {
     if (deadLetterHandler_) deadLetterHandler_(msg, reason);
 }
 
-const FaultProfile& OverlayNetwork::profileFor(const LinkKey& key) const {
-    auto it = plan_.linkProfiles.find(key);
+const FaultProfile& OverlayNetwork::profileFor(const Link& link) const {
+    auto it = plan_.linkProfiles.find({link.lo, link.hi});
     return it != plan_.linkProfiles.end() ? it->second : plan_.defaultProfile;
 }
 
@@ -301,12 +344,17 @@ void OverlayNetwork::setFaultPlan(const FaultPlan& plan) {
             loop_->scheduleAt(cut.heal, [this, cut] { healLink(cut.a, cut.b); });
     }
     for (const auto& part : plan_.partitions) {
-        loop_->scheduleAt(part.at, [this, island = part.island] {
-            applyPartition(island, +1);
+        // The heal restores exactly the links the partition cut, not
+        // whatever crosses the island by then: a link connected
+        // mid-partition was never cut.
+        auto cut = std::make_shared<std::vector<LinkId>>();
+        loop_->scheduleAt(part.at, [this, cut, island = part.island] {
+            *cut = crossingLinks(island);
+            for (LinkId id : *cut) cutLink(links_[id].lo, links_[id].hi);
         });
         if (part.heal >= part.at)
-            loop_->scheduleAt(part.heal, [this, island = part.island] {
-                applyPartition(island, -1);
+            loop_->scheduleAt(part.heal, [this, cut] {
+                for (LinkId id : *cut) healLink(links_[id].lo, links_[id].hi);
             });
     }
     for (const auto& crash : plan_.crashes) {
@@ -318,44 +366,50 @@ void OverlayNetwork::setFaultPlan(const FaultPlan& plan) {
 }
 
 void OverlayNetwork::cutLink(NodeId a, NodeId b) {
-    COP_REQUIRE(connected(a, b), "cannot cut a link that does not exist");
-    ++downLinks_[keyOf(a, b)];
+    const LinkId id = findLink(a, b);
+    COP_REQUIRE(id != kNoLink, "cannot cut a link that does not exist");
+    ++links_[id].cuts;
+    routes_.clear();
     ++faultStats_.linkCuts;
     traceEvent(kTraceLinkDown, std::uint64_t(a), std::uint64_t(b), 0);
 }
 
 void OverlayNetwork::healLink(NodeId a, NodeId b) {
-    auto it = downLinks_.find(keyOf(a, b));
-    COP_REQUIRE(it != downLinks_.end() && it->second > 0, "link is not cut");
-    if (--it->second == 0) downLinks_.erase(it);
+    const LinkId id = findLink(a, b);
+    COP_REQUIRE(id != kNoLink && links_[id].cuts > 0, "link is not cut");
+    --links_[id].cuts;
+    routes_.clear();
     traceEvent(kTraceLinkUp, std::uint64_t(a), std::uint64_t(b), 0);
 }
 
-void OverlayNetwork::applyPartition(const std::vector<NodeId>& island,
-                                    int direction) {
+std::vector<OverlayNetwork::LinkId> OverlayNetwork::crossingLinks(
+    const std::vector<NodeId>& island) const {
     const std::set<NodeId> inIsland(island.begin(), island.end());
-    for (const auto& [key, link] : links_) {
-        const bool aIn = inIsland.count(key.first) > 0;
-        const bool bIn = inIsland.count(key.second) > 0;
-        if (aIn == bIn) continue; // link does not cross the boundary
-        if (direction > 0)
-            cutLink(key.first, key.second);
-        else
-            healLink(key.first, key.second);
-    }
+    std::vector<LinkId> crossing;
+    for (LinkId id = 0; id < links_.size(); ++id)
+        if (inIsland.count(links_[id].lo) != inIsland.count(links_[id].hi))
+            crossing.push_back(id);
+    // Each cut and heal folds a trace event, so traceHash() depends on
+    // this order: (lo, hi) key order, not connect order.
+    std::sort(crossing.begin(), crossing.end(), [this](LinkId x, LinkId y) {
+        return std::pair(links_[x].lo, links_[x].hi) <
+               std::pair(links_[y].lo, links_[y].hi);
+    });
+    return crossing;
 }
 
 void OverlayNetwork::crashNode(NodeId id) {
     COP_REQUIRE(id >= 0 && std::size_t(id) < nodes_.size(), "bad node id");
-    ++downNodes_[id];
+    ++downNodes_[std::size_t(id)];
+    routes_.clear();
     ++faultStats_.crashes;
     traceEvent(kTraceNodeDown, std::uint64_t(id), 0, 0);
 }
 
 void OverlayNetwork::restoreNode(NodeId id) {
-    auto it = downNodes_.find(id);
-    COP_REQUIRE(it != downNodes_.end() && it->second > 0, "node is not down");
-    if (--it->second == 0) downNodes_.erase(it);
+    COP_REQUIRE(!nodeUp(id), "node is not down");
+    --downNodes_[std::size_t(id)];
+    routes_.clear();
     traceEvent(kTraceNodeUp, std::uint64_t(id), 0, 0);
 }
 
@@ -373,9 +427,9 @@ void OverlayNetwork::traceEvent(std::uint64_t kind, std::uint64_t a,
 }
 
 const LinkStats& OverlayNetwork::linkStats(NodeId a, NodeId b) const {
-    auto it = links_.find(keyOf(a, b));
-    COP_REQUIRE(it != links_.end(), "no such link");
-    return it->second.stats;
+    const LinkId id = findLink(a, b);
+    COP_REQUIRE(id != kNoLink, "no such link");
+    return links_[id].stats;
 }
 
 namespace {
@@ -392,16 +446,15 @@ void accumulate(LinkStats& total, const LinkStats& s) {
 
 LinkStats OverlayNetwork::nodeStats(NodeId id) const {
     LinkStats total;
-    for (const auto& [key, link] : links_) {
-        if (key.first == id || key.second == id)
-            accumulate(total, link.stats);
-    }
+    if (id >= 0 && std::size_t(id) < adjacency_.size())
+        for (const Adjacent& e : adjacency_[std::size_t(id)])
+            accumulate(total, links_[e.link].stats);
     return total;
 }
 
 LinkStats OverlayNetwork::totalStats() const {
     LinkStats total;
-    for (const auto& [key, link] : links_) accumulate(total, link.stats);
+    for (const Link& link : links_) accumulate(total, link.stats);
     return total;
 }
 

@@ -17,10 +17,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -129,10 +128,10 @@ public:
 
     /// Next-hop routing table entry from `from` towards `to` (lowest total
     /// latency over *usable* links, Dijkstra); kInvalidNode if unreachable.
+    /// Memoised per (from, to) until the next connect, cut, heal, crash or
+    /// restore; const, but it fills the memo, so call it from the event
+    /// loop's thread like every other overlay method.
     NodeId nextHop(NodeId from, NodeId to) const;
-
-    /// Neighbours of `id`.
-    std::vector<NodeId> neighbors(NodeId id) const;
 
     const LinkStats& linkStats(NodeId a, NodeId b) const;
     /// Sum of traffic over all links touching `id`.
@@ -175,34 +174,62 @@ public:
     std::uint64_t traceHash() const { return traceHash_; }
 
 private:
+    /// Index into links_, in connect order.
+    using LinkId = std::uint32_t;
+    static constexpr LinkId kNoLink = ~LinkId(0);
+
     struct Link {
+        NodeId lo = kInvalidNode; ///< endpoints, lo < hi: the link's key
+        NodeId hi = kInvalidNode;
         LinkProperties props;
         LinkStats stats;
+        int cuts = 0; ///< counted: cuts + partitions nest
     };
-    using LinkKey = std::pair<NodeId, NodeId>;
-    static LinkKey keyOf(NodeId a, NodeId b) {
-        return a < b ? LinkKey{a, b} : LinkKey{b, a};
-    }
+    struct Adjacent {
+        NodeId peer;
+        LinkId link;
+    };
+    /// A next hop and the link that reaches it.
+    struct Route {
+        NodeId hop = kInvalidNode;
+        LinkId link = kNoLink;
+    };
+    /// Dijkstra scratch kept across searches; entries outside `touched`
+    /// hold their reset values (infinite distance, no route).
+    struct RouteSearch {
+        std::vector<double> dist;
+        std::vector<Route> first;
+        std::vector<NodeId> touched;
+        std::vector<std::pair<double, NodeId>> heap;
+    };
 
+    LinkId findLink(NodeId a, NodeId b) const;
+    /// Memoised route between distinct, up nodes.
+    Route route(NodeId from, NodeId to) const;
+    Route searchRoute(NodeId from, NodeId to) const;
     void forward(Message msg, NodeId at);
     void deadLetter(const Message& msg, DeadLetterReason reason);
-    const FaultProfile& profileFor(const LinkKey& key) const;
-    void applyPartition(const std::vector<NodeId>& island, int direction);
+    const FaultProfile& profileFor(const Link& link) const;
+    std::vector<LinkId> crossingLinks(const std::vector<NodeId>& island) const;
     void traceEvent(std::uint64_t kind, std::uint64_t a, std::uint64_t b,
                     std::uint64_t c);
 
     EventLoop* loop_;
     std::vector<Node*> nodes_;
-    std::map<LinkKey, Link> links_;
-    std::map<NodeId, std::vector<NodeId>> adjacency_;
+    std::vector<Link> links_;
+    std::vector<std::vector<Adjacent>> adjacency_; ///< by NodeId
+    std::vector<int> downNodes_;                   ///< by NodeId, counted
     std::uint64_t nextMessageId_ = 1;
+
+    /// Route memo: (from << 32 | to) -> Route for the pairs queried since
+    /// the last structural change, which clears it. Lookup only.
+    mutable std::unordered_map<std::uint64_t, Route> routes_;
+    mutable RouteSearch search_;
 
     FaultPlan plan_;
     bool planActive_ = false;
     Rng faultRng_{0};
     FaultStats faultStats_;
-    std::map<LinkKey, int> downLinks_; ///< counted: cuts + partitions nest
-    std::map<NodeId, int> downNodes_;
     DeadLetterHandler deadLetterHandler_;
     std::uint64_t traceHash_ = 0xcbf29ce484222325ull; ///< FNV-1a offset
 };

@@ -8,13 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
+#include <queue>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/backends.hpp"
 #include "core/bar_controller.hpp"
 #include "core/copernicus.hpp"
 #include "core/msm_controller.hpp"
 #include "mdlib/proteins.hpp"
+#include "net/overlay.hpp"
+#include "util/random.hpp"
 
 namespace cop {
 namespace {
@@ -462,6 +471,211 @@ TEST(Chaos, LeaseExpiryRequeuesAfterRelayCrash) {
     EXPECT_EQ(c->results.size(), 3u);
     EXPECT_GE(project.stats().leasesExpired, 1u);
     EXPECT_GE(project.stats().commandsRequeued, 1u);
+}
+
+/// Uncached reference router over a topology model the test keeps itself:
+/// the overlay's per-call Dijkstra as it was before routes were memoised.
+/// Neighbours are visited in connect order, so ties break as in the
+/// overlay.
+struct RouteModel {
+    struct Edge {
+        net::NodeId peer;
+        double latency;
+    };
+    using Key = std::pair<net::NodeId, net::NodeId>;
+    static Key key(net::NodeId a, net::NodeId b) {
+        return a < b ? Key{a, b} : Key{b, a};
+    }
+
+    std::vector<std::vector<Edge>> adj;
+    std::map<Key, int> cuts;
+    std::vector<int> down;
+
+    bool usable(net::NodeId a, net::NodeId b) const {
+        auto it = cuts.find(key(a, b));
+        if (it != cuts.end() && it->second > 0) return false;
+        return down[std::size_t(a)] == 0 && down[std::size_t(b)] == 0;
+    }
+
+    net::NodeId nextHop(net::NodeId from, net::NodeId to) const {
+        if (from == to) return to;
+        if (down[std::size_t(from)] > 0 || down[std::size_t(to)] > 0)
+            return net::kInvalidNode;
+        const std::size_t n = adj.size();
+        std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+        std::vector<net::NodeId> firstHop(n, net::kInvalidNode);
+        using QE = std::pair<double, net::NodeId>;
+        std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+        dist[std::size_t(from)] = 0.0;
+        pq.push({0.0, from});
+        while (!pq.empty()) {
+            const auto [d, u] = pq.top();
+            pq.pop();
+            if (d > dist[std::size_t(u)]) continue;
+            if (u == to) break;
+            for (const Edge& e : adj[std::size_t(u)]) {
+                if (!usable(u, e.peer)) continue;
+                const double nd = d + e.latency;
+                if (nd < dist[std::size_t(e.peer)]) {
+                    dist[std::size_t(e.peer)] = nd;
+                    firstHop[std::size_t(e.peer)] =
+                        (u == from) ? e.peer : firstHop[std::size_t(u)];
+                    pq.push({nd, e.peer});
+                }
+            }
+        }
+        return firstHop[std::size_t(to)];
+    }
+};
+
+/// One seeded interleaving of connects, cuts, heals, crashes, restores and
+/// partitions on a ~30-node overlay; after every event, every pair's
+/// next hop must match the uncached reference.
+void checkRoutesAgainstReference(std::uint64_t seed) {
+    constexpr int kNodes = 30;
+    constexpr int kInitialLinks = 45;
+    constexpr int kSteps = 120;
+    // Few distinct latencies, so equal-cost paths are common.
+    constexpr double kLatencies[] = {0.001, 0.002, 0.003};
+
+    Rng rng(seed);
+    net::EventLoop loop;
+    net::OverlayNetwork network(loop);
+    std::vector<std::unique_ptr<net::Node>> nodes;
+    for (int i = 0; i < kNodes; ++i)
+        nodes.push_back(std::make_unique<net::Node>(
+            network, "n" + std::to_string(i),
+            net::KeyPair::generate(seed * 131 + std::uint64_t(i))));
+    for (auto& a : nodes)
+        for (auto& b : nodes)
+            if (a != b) a->trust(b->publicKey());
+
+    RouteModel model;
+    model.adj.resize(kNodes);
+    model.down.assign(kNodes, 0);
+    std::map<RouteModel::Key, int> manualCuts;
+    const auto randomNode = [&] { return net::NodeId(rng.uniformInt(kNodes)); };
+
+    const auto connect = [&](net::NodeId a, net::NodeId b) {
+        if (a == b || network.connected(a, b)) return;
+        const double latency = kLatencies[rng.uniformInt(3)];
+        network.connect(a, b, net::LinkProperties{latency, 1e9});
+        model.adj[std::size_t(a)].push_back({b, latency});
+        model.adj[std::size_t(b)].push_back({a, latency});
+    };
+    for (int i = 0; i < kInitialLinks; ++i) connect(randomNode(), randomNode());
+
+    const auto partition = [&](const std::set<net::NodeId>& island) {
+        std::set<RouteModel::Key> crossing;
+        for (net::NodeId u : island)
+            for (const auto& e : model.adj[std::size_t(u)])
+                if (island.count(e.peer) == 0)
+                    crossing.insert(RouteModel::key(u, e.peer));
+        for (const auto& k : crossing) ++model.cuts[k];
+        return crossing;
+    };
+
+    const auto routesMatch = [&](int step, const char* event) {
+        for (net::NodeId from = 0; from < kNodes; ++from)
+            for (net::NodeId to = 0; to < kNodes; ++to) {
+                const net::NodeId got = network.nextHop(from, to);
+                const net::NodeId want = model.nextHop(from, to);
+                if (got != want) {
+                    ADD_FAILURE() << "seed " << seed << " step " << step
+                                  << " after " << event << ": route " << from
+                                  << "->" << to << " hop " << got
+                                  << ", reference " << want;
+                    return false;
+                }
+            }
+        return true;
+    };
+
+    for (int step = 1; step <= kSteps; ++step) {
+        // Fires any partition cut or heal that falls due.
+        loop.runUntil(double(step));
+        if (!routesMatch(step, "advance")) return;
+
+        const char* event = "query";
+        switch (rng.uniformInt(7)) {
+        case 0:
+            event = "connect";
+            connect(randomNode(), randomNode());
+            break;
+        case 1: {
+            event = "cut";
+            const net::NodeId a = randomNode();
+            const auto& edges = model.adj[std::size_t(a)];
+            if (edges.empty()) break;
+            const net::NodeId b = edges[rng.uniformInt(edges.size())].peer;
+            network.cutLink(a, b);
+            ++model.cuts[RouteModel::key(a, b)];
+            ++manualCuts[RouteModel::key(a, b)];
+            break;
+        }
+        case 2: {
+            event = "heal";
+            if (manualCuts.empty()) break;
+            auto it = manualCuts.begin();
+            std::advance(it, long(rng.uniformInt(manualCuts.size())));
+            const auto k = it->first;
+            network.healLink(k.first, k.second);
+            --model.cuts[k];
+            if (--it->second == 0) manualCuts.erase(it);
+            break;
+        }
+        case 3: {
+            event = "crash";
+            const net::NodeId id = randomNode();
+            network.crashNode(id);
+            ++model.down[std::size_t(id)];
+            break;
+        }
+        case 4: {
+            event = "restore";
+            const net::NodeId id = randomNode();
+            if (model.down[std::size_t(id)] == 0) break;
+            network.restoreNode(id);
+            --model.down[std::size_t(id)];
+            break;
+        }
+        case 5: {
+            event = "partition";
+            std::set<net::NodeId> island;
+            const auto size = 1 + rng.uniformInt(4);
+            while (island.size() < size) island.insert(randomNode());
+            const double at = step + 0.5;
+            // One in four partitions never heals.
+            const double heal = rng.uniformInt(4) == 0
+                                    ? -1.0
+                                    : at + 1.0 + double(rng.uniformInt(4));
+            net::FaultPlan plan;
+            plan.seed = seed;
+            plan.partition({island.begin(), island.end()}, at, heal);
+            network.setFaultPlan(plan);
+            // Scheduled after the plan, so at equal times the overlay's
+            // event fires first and the model mirrors it.
+            auto cut = std::make_shared<std::set<RouteModel::Key>>();
+            loop.scheduleAt(at, [&, cut, island] { *cut = partition(island); });
+            if (heal >= at)
+                loop.scheduleAt(heal, [&model, cut] {
+                    for (const auto& k : *cut) --model.cuts[k];
+                });
+            break;
+        }
+        default:
+            break; // re-query an unchanged topology: memo hits
+        }
+        if (!routesMatch(step, event)) return;
+    }
+}
+
+TEST(Chaos, RouteMemoMatchesReferenceDijkstra) {
+    // CI's shifted-seed step widens the sweep via the environment.
+    const std::uint64_t base = envU64("COP_CHAOS_SEED_BASE", 1000);
+    const std::uint64_t count = envU64("COP_CHAOS_SEED_COUNT", 20);
+    for (std::uint64_t s = 0; s < count; ++s)
+        checkRoutesAgainstReference(base + s);
 }
 
 } // namespace

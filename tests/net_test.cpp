@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "net/backoff.hpp"
 #include "net/event_loop.hpp"
@@ -450,6 +452,106 @@ TEST(Overlay, TraceHashIsDeterministicUnderSeed) {
     };
     EXPECT_EQ(runOnce(11), runOnce(11));
     EXPECT_NE(runOnce(11), runOnce(12));
+}
+
+TEST(Overlay, GoldenTraceHashAcrossBuilds) {
+    // The overlay alone, with no MD and no MSM: seeded traffic over a 3x3
+    // grid with equal-latency ties and a diagonal that ties a two-hop
+    // path, four leaves, chaos on every hop, a link cut, a partition and
+    // a crash. The expected hash was recorded before routes were
+    // memoised; any change to route choice, tie-breaking or fault-RNG
+    // draw order moves it.
+    TestNet t;
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (int i = 0; i < 13; ++i)
+        nodes.push_back(std::make_unique<Node>(
+            t.net, "n" + std::to_string(i), KeyPair::generate(100 + i)));
+    for (auto& a : nodes)
+        for (auto& b : nodes)
+            if (a != b) a->trust(b->publicKey());
+    const auto link = [&](int a, int b, double latency) {
+        t.net.connect(nodes[std::size_t(a)]->id(), nodes[std::size_t(b)]->id(),
+                      LinkProperties{latency, 1e7});
+    };
+    for (int r = 0; r < 3; ++r)
+        for (int c = 0; c < 3; ++c) {
+            if (c < 2) link(3 * r + c, 3 * r + c + 1, 0.01);
+            if (r < 2) link(3 * r + c, 3 * r + c + 3, 0.01);
+        }
+    link(0, 4, 0.02);
+    link(9, 0, 0.005);
+    link(10, 2, 0.005);
+    link(11, 6, 0.005);
+    link(12, 8, 0.005);
+
+    FaultPlan plan;
+    plan.seed = 20111;
+    plan.defaultProfile.dropProbability = 0.05;
+    plan.defaultProfile.duplicateProbability = 0.05;
+    plan.defaultProfile.reorderProbability = 0.1;
+    plan.defaultProfile.spikeProbability = 0.02;
+    plan.defaultProfile.spikeSeconds = 0.2;
+    plan.cutLink(nodes[1]->id(), nodes[4]->id(), 2.0, 5.0);
+    // The island's crossing links are cut in (lo, hi) key order, which
+    // differs from their connect order: n0-n9 was connected last.
+    plan.partition({nodes[0]->id(), nodes[4]->id()}, 4.0, 7.0);
+    plan.crashNode(nodes[4]->id(), 6.0, 8.0);
+    t.net.setFaultPlan(plan);
+
+    int delivered = 0;
+    for (auto& n : nodes) n->setHandler([&](const Message&) { ++delivered; });
+    Rng rng(99);
+    for (int i = 0; i < 400; ++i) {
+        const auto src = NodeId(rng.uniformInt(nodes.size()));
+        auto dst = NodeId(rng.uniformInt(nodes.size() - 1));
+        if (dst >= src) ++dst;
+        const double at = rng.uniform(0.0, 10.0);
+        const auto bytes = std::size_t(rng.uniformInt(65));
+        t.loop.scheduleAt(at, [&t, src, dst, bytes] {
+            Message msg;
+            msg.type = MessageType::Heartbeat;
+            msg.source = src;
+            msg.destination = dst;
+            msg.payload.assign(bytes, 0);
+            t.net.send(msg);
+        });
+    }
+    t.loop.run();
+    EXPECT_EQ(t.net.traceHash(), 0xc87badbcb06574d2ull);
+    EXPECT_EQ(delivered, 336);
+    EXPECT_EQ(t.net.faultStats().deadLetters, 55u);
+}
+
+TEST(Overlay, PartitionHealsOnlyLinksItCut) {
+    // a-b crosses the island {a} when the partition fires; a-c is
+    // connected mid-partition, so the heal must leave it alone instead of
+    // trying to heal a link that was never cut.
+    TestNet t;
+    Node a = t.makeNode("a", 1), b = t.makeNode("b", 2),
+         c = t.makeNode("c", 3);
+    mutualTrust(a, b);
+    mutualTrust(a, c);
+    t.net.connect(a.id(), b.id(), {});
+    FaultPlan plan;
+    plan.partition({a.id()}, /*at=*/1.0, /*heal=*/3.0);
+    t.net.setFaultPlan(plan);
+
+    int delivered = 0;
+    c.setHandler([&](const Message&) { ++delivered; });
+    t.loop.scheduleAt(2.0, [&] {
+        t.net.connect(a.id(), c.id(), {});
+        EXPECT_FALSE(t.net.linkUsable(a.id(), b.id()));
+        EXPECT_TRUE(t.net.linkUsable(a.id(), c.id()));
+        Message msg;
+        msg.source = a.id();
+        msg.destination = c.id();
+        t.net.send(msg);
+    });
+    EXPECT_NO_THROW(t.loop.run());
+    EXPECT_EQ(delivered, 1);
+    EXPECT_TRUE(t.net.linkUsable(a.id(), b.id()));
+    EXPECT_TRUE(t.net.linkUsable(a.id(), c.id()));
+    EXPECT_EQ(t.net.faultStats().linkCuts, 1u);
 }
 
 TEST(Overlay, BulkDataClassification) {
