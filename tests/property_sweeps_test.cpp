@@ -1,6 +1,9 @@
 // Parameterized property sweeps: invariants that must hold across broad
 // parameter ranges, not just a single configuration.
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "fe/bar.hpp"
@@ -136,15 +139,22 @@ INSTANTIATE_TEST_SUITE_P(Ks, ClusterCountSweep,
 
 // --- All estimators produce valid stochastic matrices across seeds ------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must hold no implicit padding: `reserved` fills the gap between `kind` and
+// `seed` with zeros and keeps the discovered test names reproducible.
 struct EstimatorSeed {
     msm::EstimatorKind kind;
+    std::uint32_t reserved = 0;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<EstimatorSeed>,
+              "EstimatorSeed must have no padding bytes");
 
 class EstimatorSweep : public ::testing::TestWithParam<EstimatorSeed> {};
 
 TEST_P(EstimatorSweep, RowsStochasticOnRandomData) {
-    const auto [kind, seed] = GetParam();
+    const auto kind = GetParam().kind;
+    const auto seed = GetParam().seed;
     Rng rng(seed);
     std::vector<msm::DiscreteTrajectory> trajs;
     for (int t = 0; t < 20; ++t) {
@@ -176,12 +186,12 @@ TEST_P(EstimatorSweep, RowsStochasticOnRandomData) {
 INSTANTIATE_TEST_SUITE_P(
     Estimators, EstimatorSweep,
     ::testing::Values(
-        EstimatorSeed{msm::EstimatorKind::RowNormalized, 1},
-        EstimatorSeed{msm::EstimatorKind::RowNormalized, 2},
-        EstimatorSeed{msm::EstimatorKind::Symmetrized, 1},
-        EstimatorSeed{msm::EstimatorKind::Symmetrized, 2},
-        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 1},
-        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 2}));
+        EstimatorSeed{msm::EstimatorKind::RowNormalized, 0, 1},
+        EstimatorSeed{msm::EstimatorKind::RowNormalized, 0, 2},
+        EstimatorSeed{msm::EstimatorKind::Symmetrized, 0, 1},
+        EstimatorSeed{msm::EstimatorKind::Symmetrized, 0, 2},
+        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 0, 1},
+        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 0, 2}));
 
 // --- BAR accuracy across overlap regimes --------------------------------
 
