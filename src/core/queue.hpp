@@ -45,7 +45,8 @@ enum class ClaimPolicy {
     LargestFit,
 };
 
-/// Scheduler hot-path counters, exposed via Server::schedulerStats().
+/// Scheduler hot-path counters, exposed via
+/// Server::metricsSnapshot().scheduler.
 struct SchedulerStats {
     std::uint64_t pushes = 0;
     std::uint64_t duplicatePushesRejected = 0;

@@ -112,8 +112,8 @@ public:
     const CommandQueue& shard(ProjectId tenant) const;
 
     /// Aggregate hot-path counters summed over every shard. Returns a
-    /// reference into a cached member recomputed per call, matching the
-    /// pre-shard Server::schedulerStats() signature.
+    /// reference into a cached member recomputed per call; this is what
+    /// Server::metricsSnapshot().scheduler copies.
     const SchedulerStats& stats() const;
     const TenantCounters& tenantStats(ProjectId tenant) const;
 

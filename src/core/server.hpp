@@ -166,8 +166,8 @@ struct TenantMetrics {
     bool done = false;
 };
 
-/// One-call metrics surface consolidating the former stats() /
-/// schedulerStats() / wireStats() triple plus the per-tenant breakdown.
+/// One-call metrics surface: server, scheduler, wire, store and WAL
+/// counters plus the per-tenant breakdown.
 struct ServerMetrics {
     ServerStats server;
     SchedulerStats scheduler; ///< aggregated over every shard
@@ -213,16 +213,10 @@ public:
     /// per-tenant counters through it).
     const ShardedScheduler& scheduler() const { return scheduler_; }
 
-    /// Consolidated point-in-time metrics with per-tenant breakdown. The
-    /// three accessors below are const views over its components, kept for
-    /// callers that only need one slice.
+    /// Consolidated point-in-time metrics with per-tenant breakdown.
     ServerMetrics metricsSnapshot() const;
+    /// The server-level slice of metricsSnapshot(), without the copy.
     const ServerStats& stats() const { return stats_; }
-    /// Scheduler hot-path counters summed over every tenant shard.
-    const SchedulerStats& schedulerStats() const { return scheduler_.stats(); }
-    /// Wire-layer counters (retransmits, acks, duplicates dropped,
-    /// batching/flush breakdown).
-    const wire::EndpointStats& wireStats() const { return endpoint_.stats(); }
     /// The server's typed endpoint (benches/tests attach observers here).
     wire::Endpoint& endpoint() { return endpoint_; }
     const ServerConfig& config() const { return config_; }

@@ -32,7 +32,7 @@ namespace {
 // multiplier, with the excluded distance replaced by cut2 so no division
 // blows up), scatter-accumulate of the force. Splitting the pair list by
 // interaction kind ahead of time is what removes the per-pair dispatch the
-// Scalar/Blocked4 kernels pay for.
+// Scalar kernel pays for.
 //
 // Shifted kernels (cell-built lists, width-1 sets) image with a table
 // lookup of the run's precomputed shift vector, folded into the i
@@ -333,8 +333,7 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
         ljShift = 4.0 * params_.ljEpsilon * (s6 * s6 - s6);
     }
 
-    auto pairTerm = [&](int i, int j, double& enb, double& ecoul,
-                        double& evir) {
+    auto pairTerm = [&](int i, int j) {
         const Vec3 d = box_.minimumImage(positions[std::size_t(i)],
                                          positions[std::size_t(j)]);
         const double r2 = norm2(d);
@@ -344,13 +343,13 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
             const double s2 = params_.repSigma * params_.repSigma / r2;
             const double s6 = s2 * s2 * s2;
             const double s12 = s6 * s6;
-            enb += params_.repEpsilon * s12;
+            e.nonbonded += params_.repEpsilon * s12;
             fOverR += 12.0 * params_.repEpsilon * s12 / r2;
         } else {
             const double s2 = params_.ljSigma * params_.ljSigma / r2;
             const double s6 = s2 * s2 * s2;
             const double s12 = s6 * s6;
-            enb += 4.0 * params_.ljEpsilon * (s12 - s6) - ljShift;
+            e.nonbonded += 4.0 * params_.ljEpsilon * (s12 - s6) - ljShift;
             fOverR += 24.0 * params_.ljEpsilon * (2.0 * s12 - s6) / r2;
             if (params_.useCoulombRF) {
                 const double qq = params_.coulombPrefactor *
@@ -358,87 +357,22 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
                                   top_.charge(std::size_t(j));
                 if (qq != 0.0) {
                     const double r = std::sqrt(r2);
-                    ecoul += qq * (1.0 / r + kRF * r2 - cRF);
+                    e.coulomb += qq * (1.0 / r + kRF * r2 - cRF);
                     fOverR += qq * (1.0 / (r2 * r) - 2.0 * kRF);
                 }
             }
         }
-        evir += fOverR * r2;
+        e.pairVirial += fOverR * r2;
         return d * fOverR;
     };
 
-    // The Blocked4 flavor processes the pair list in blocks of 4,
-    // accumulating into small fixed arrays the compiler can keep in vector
-    // registers; the Scalar flavor is the obvious loop. Results agree to
-    // rounding. With a thread pool, the pair range is chunked with
-    // per-thread force buffers and reduced (the paper's "thread" tier).
-    auto processRange = [&](std::size_t lo, std::size_t hi,
-                            std::vector<Vec3>& fbuf, double& enb,
-                            double& ecoul, double& evir) {
-        if (params_.flavor == KernelFlavor::Blocked4) {
-            std::size_t p = lo;
-            for (; p + 4 <= hi; p += 4) {
-                Vec3 fs[4];
-                for (int u = 0; u < 4; ++u)
-                    fs[u] = pairTerm(pairs[p + std::size_t(u)].i,
-                                     pairs[p + std::size_t(u)].j, enb, ecoul,
-                                     evir);
-                for (int u = 0; u < 4; ++u) {
-                    fbuf[std::size_t(pairs[p + std::size_t(u)].i)] += fs[u];
-                    fbuf[std::size_t(pairs[p + std::size_t(u)].j)] -= fs[u];
-                }
-            }
-            for (; p < hi; ++p) {
-                const Vec3 f =
-                    pairTerm(pairs[p].i, pairs[p].j, enb, ecoul, evir);
-                fbuf[std::size_t(pairs[p].i)] += f;
-                fbuf[std::size_t(pairs[p].j)] -= f;
-            }
-        } else {
-            for (std::size_t p = lo; p < hi; ++p) {
-                const Vec3 f =
-                    pairTerm(pairs[p].i, pairs[p].j, enb, ecoul, evir);
-                fbuf[std::size_t(pairs[p].i)] += f;
-                fbuf[std::size_t(pairs[p].j)] -= f;
-            }
-        }
-    };
-
-    if (pool_ != nullptr && pairs.size() >= 1024 && pool_->size() > 1) {
-        // Per-chunk accumulation into persistent workspace buffers, then a
-        // striped parallel reduction: each stripe of particle indices is
-        // summed across all chunk buffers by one thread, so the reduction
-        // is O(N) wall-clock instead of O(chunks * N) serial.
-        const std::size_t nChunks = pool_->size() + 1;
-        ws_.ensure(positions.size(), nChunks);
-        const std::size_t chunk = (pairs.size() + nChunks - 1) / nChunks;
-        pool_->forChunks(0, nChunks, [&](std::size_t, std::size_t cLo,
-                                         std::size_t cHi) {
-            for (std::size_t c = cLo; c < cHi; ++c) {
-                auto& fbuf = ws_.aosBuffers[c];
-                std::fill(fbuf.begin(), fbuf.end(), Vec3{});
-                ws_.enb[c] = ws_.ecoul[c] = ws_.evir[c] = 0.0;
-                const std::size_t lo = c * chunk;
-                const std::size_t hi = std::min(lo + chunk, pairs.size());
-                if (lo < hi)
-                    processRange(lo, hi, fbuf, ws_.enb[c], ws_.ecoul[c],
-                                 ws_.evir[c]);
-            }
-        });
-        pool_->forChunks(0, forces.size(), [&](std::size_t, std::size_t lo,
-                                               std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                for (std::size_t c = 0; c < nChunks; ++c)
-                    forces[i] += ws_.aosBuffers[c][i];
-        });
-        for (std::size_t c = 0; c < nChunks; ++c) {
-            e.nonbonded += ws_.enb[c];
-            e.coulomb += ws_.ecoul[c];
-            e.pairVirial += ws_.evir[c];
-        }
-    } else {
-        processRange(0, pairs.size(), forces, e.nonbonded, e.coulomb,
-                     e.pairVirial);
+    // The Scalar flavor is the obvious loop: the reference the SoA and
+    // SIMD kernels are tested against, so it stays simple and serial even
+    // when a thread pool is attached.
+    for (const auto& pair : pairs) {
+        const Vec3 f = pairTerm(pair.i, pair.j);
+        forces[std::size_t(pair.i)] += f;
+        forces[std::size_t(pair.j)] -= f;
     }
 }
 

@@ -10,17 +10,17 @@
 ///     lists against textbook behaviour, mirroring the paper's use of a
 ///     reaction field for villin electrostatics.
 ///
-/// Forces are accumulated through one of four kernels (the "SIMD level" of
-/// the paper's Fig. 6): a scalar reference loop, a 4-wide blocked loop,
-/// the default structure-of-arrays engine (branch-free kind-split pair
-/// buckets, stored as same-i runs with precomputed periodic shifts, over
-/// cache-aligned xyz-interleaved coordinate triplets, with a striped
-/// zero-allocation threaded reduction), or the SoA engine driven by
-/// runtime-dispatched SIMD kernels (SSE2/AVX2/AVX-512F/NEON selected at
-/// startup via simd_dispatch.hpp; same buckets, width-templated inner
-/// loops). Scalar/Blocked4/Soa are required by tests to agree within
-/// 1e-10; the SIMD flavors within 1e-9 (vector accumulators change only
-/// the summation order).
+/// Forces are accumulated through one of three kernels (the "SIMD level"
+/// of the paper's Fig. 6): a serial scalar reference loop kept as the
+/// test oracle, the default structure-of-arrays engine (branch-free
+/// kind-split pair buckets, stored as same-i runs with precomputed
+/// periodic shifts, over cache-aligned xyz-interleaved coordinate
+/// triplets, with a striped zero-allocation threaded reduction), or the
+/// SoA engine driven by runtime-dispatched SIMD kernels (SSE2/AVX2/
+/// AVX-512F/NEON selected at startup via simd_dispatch.hpp; same buckets,
+/// width-templated inner loops). Scalar and Soa are required by tests to
+/// agree within 1e-10; the SIMD flavors within 1e-9 (vector accumulators
+/// change only the summation order).
 
 #include <cstddef>
 #include <vector>
@@ -67,15 +67,16 @@ enum class NonbondedKind {
     LennardJonesRF,   ///< 12-6 LJ + reaction-field Coulomb
 };
 
+/// The enumerator values are written into every checkpoint, so they are
+/// pinned: 1 belonged to a retired blocked loop and must not be reused.
 enum class KernelFlavor {
-    Scalar,   ///< straightforward reference loop
-    Blocked4, ///< 4-wide blocked loop, auto-vectorizer friendly
-    Soa,      ///< structure-of-arrays kernel over kind-split pair buckets:
-              ///< branch-free inner loops, precomputed charge products,
-              ///< striped zero-allocation threaded reduction
-    SimdAuto, ///< the Soa engine with explicit-SIMD inner loops, ISA
-              ///< picked at startup (ForceFieldParams::simdIsa override >
-              ///< COPERNICUS_SIMD env var > CPU detection)
+    Scalar = 0,   ///< serial reference loop; the test oracle
+    Soa = 2,      ///< structure-of-arrays kernel over kind-split pair
+                  ///< buckets: branch-free inner loops, precomputed charge
+                  ///< products, striped zero-allocation threaded reduction
+    SimdAuto = 3, ///< the Soa engine with explicit-SIMD inner loops, ISA
+                  ///< picked at startup (ForceFieldParams::simdIsa override
+                  ///< > COPERNICUS_SIMD env var > CPU detection)
 };
 
 struct ForceFieldParams {
@@ -143,13 +144,6 @@ public:
     /// The kernel table the SoA engine calls through (width 1 for the
     /// Soa flavor's scalar reference set).
     const NonbondedKernelSet& kernelSet() const { return kernels_; }
-
-    /// Replaces the box (barostat rescale); invalidates the neighbour
-    /// list so the next compute() rebuilds it.
-    void setBox(const Box& box) {
-        box_ = box;
-        neighborList_.invalidate();
-    }
 
 private:
     Energies computeBonded(const std::vector<Vec3>& positions,

@@ -63,8 +63,6 @@ void Integrator::run(State& state, std::int64_t nSteps) {
         case IntegratorKind::Leapfrog: stepLeapfrog(state); break;
         case IntegratorKind::LangevinBAOAB: stepLangevinBAOAB(state); break;
         }
-        if (params_.barostat == BarostatKind::Berendsen)
-            applyBerendsenBarostat(state);
         ++state.step;
         state.time += params_.dt;
     }
@@ -190,21 +188,6 @@ void Integrator::applyBerendsen(State& state) {
     const double lambda = std::sqrt(
         1.0 + params_.dt / params_.tauT * (params_.temperature / tCur - 1.0));
     for (auto& v : state.velocities) v *= lambda;
-}
-
-void Integrator::applyBerendsenBarostat(State& state) {
-    const Box& box = ff_.box();
-    COP_REQUIRE(box.periodic, "barostat needs a periodic box");
-    const double p = pressure(state);
-    // Berendsen weak coupling: mu = [1 - kappa dt/tauP (P0 - P)]^(1/3).
-    const double arg = 1.0 - params_.compressibility * params_.dt /
-                                 params_.tauP * (params_.pressure - p);
-    const double mu = std::cbrt(std::clamp(arg, 0.9, 1.1));
-    if (mu == 1.0) return;
-    Box scaled = box;
-    scaled.lengths *= mu;
-    ff_.setBox(scaled);
-    for (auto& x : state.positions) x *= mu;
 }
 
 double Integrator::pressure(const State& state) const {

@@ -18,7 +18,6 @@ namespace cop::md {
 
 enum class IntegratorKind { VelocityVerlet, Leapfrog, LangevinBAOAB };
 enum class ThermostatKind { None, NoseHoover, VRescale, Berendsen };
-enum class BarostatKind { None, Berendsen };
 
 struct IntegratorParams {
     IntegratorKind kind = IntegratorKind::LangevinBAOAB;
@@ -32,13 +31,6 @@ struct IntegratorParams {
 
     // Langevin friction (gamma, inverse time units).
     double friction = 0.5;
-
-    // Berendsen pressure coupling (requires a periodic box; pressure is
-    // computed from the pair virial).
-    BarostatKind barostat = BarostatKind::None;
-    double pressure = 1.0;        ///< target pressure, reduced units
-    double tauP = 2.0;            ///< pressure coupling time
-    double compressibility = 0.05;///< isothermal compressibility kappa
 };
 
 /// Kinetic energy sum(0.5 m v^2).
@@ -119,7 +111,6 @@ private:
     void stepLeapfrog(State& state);
     void stepLangevinBAOAB(State& state);
     void applyNoseHooverHalf(State& state, double halfDt);
-    void applyBerendsenBarostat(State& state);
     void applyVRescale(State& state);
     void applyBerendsen(State& state);
 

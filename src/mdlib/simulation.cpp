@@ -1,12 +1,64 @@
 #include "mdlib/simulation.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace cop::md {
 
 namespace {
+
+// A checkpoint may come from another worker, so its enum fields are
+// untrusted bytes. A value no enumerator names would restore into a run
+// that silently falls through every dispatch: an IntegratorKind that
+// advances the step count without moving an atom, or a flavor that runs
+// the Scalar loop. Each switch names every enumerator, so -Wswitch flags
+// a new one that is not accepted here.
+bool known(NonbondedKind k) {
+    switch (k) {
+    case NonbondedKind::GoRepulsive:
+    case NonbondedKind::LennardJonesRF: return true;
+    }
+    return false;
+}
+
+bool known(KernelFlavor f) {
+    switch (f) {
+    case KernelFlavor::Scalar:
+    case KernelFlavor::Soa:
+    case KernelFlavor::SimdAuto: return true;
+    }
+    return false;
+}
+
+bool known(IntegratorKind k) {
+    switch (k) {
+    case IntegratorKind::VelocityVerlet:
+    case IntegratorKind::Leapfrog:
+    case IntegratorKind::LangevinBAOAB: return true;
+    }
+    return false;
+}
+
+bool known(ThermostatKind t) {
+    switch (t) {
+    case ThermostatKind::None:
+    case ThermostatKind::NoseHoover:
+    case ThermostatKind::VRescale:
+    case ThermostatKind::Berendsen: return true;
+    }
+    return false;
+}
+
+template <class E>
+E readEnum(BinaryReader& r, const char* what) {
+    const auto raw = r.read<std::int32_t>();
+    const E value = E(raw);
+    COP_IO_CHECK(known(value), std::string("checkpoint has unknown ") + what +
+                                   " " + std::to_string(raw));
+    return value;
+}
 
 void serializeFFParams(BinaryWriter& w, const ForceFieldParams& p) {
     w.write(std::int32_t(p.kind));
@@ -25,8 +77,8 @@ void serializeFFParams(BinaryWriter& w, const ForceFieldParams& p) {
 
 ForceFieldParams deserializeFFParams(BinaryReader& r) {
     ForceFieldParams p;
-    p.kind = NonbondedKind(r.read<std::int32_t>());
-    p.flavor = KernelFlavor(r.read<std::int32_t>());
+    p.kind = readEnum<NonbondedKind>(r, "nonbonded kind");
+    p.flavor = readEnum<KernelFlavor>(r, "kernel flavor");
     p.cutoff = r.read<double>();
     p.neighborSkin = r.read<double>();
     p.repEpsilon = r.read<double>();
@@ -51,9 +103,9 @@ void serializeIntegratorParams(BinaryWriter& w, const IntegratorParams& p) {
 
 IntegratorParams deserializeIntegratorParams(BinaryReader& r) {
     IntegratorParams p;
-    p.kind = IntegratorKind(r.read<std::int32_t>());
+    p.kind = readEnum<IntegratorKind>(r, "integrator kind");
     p.dt = r.read<double>();
-    p.thermostat = ThermostatKind(r.read<std::int32_t>());
+    p.thermostat = readEnum<ThermostatKind>(r, "thermostat");
     p.temperature = r.read<double>();
     p.tauT = r.read<double>();
     p.friction = r.read<double>();

@@ -80,7 +80,8 @@ public:
     /// Serializes everything needed to continue this run bit-exactly.
     std::vector<std::uint8_t> checkpoint() const;
 
-    /// Reconstructs a simulation from a checkpoint blob.
+    /// Reconstructs a simulation from a checkpoint blob. Throws IoError on
+    /// a truncated blob or an enum field no enumerator names.
     static Simulation restore(std::span<const std::uint8_t> blob);
 
 private:

@@ -499,12 +499,12 @@ TEST(Tenancy, MetricsSnapshotAggregatesMatchLegacyViews) {
         EXPECT_TRUE(t.done);
     }
 
-    // The legacy accessors are views over the same components.
+    // The snapshot copies the live components.
     EXPECT_EQ(metrics.server.commandsCompleted,
               server.stats().commandsCompleted);
     EXPECT_EQ(metrics.scheduler.commandsClaimed,
-              server.schedulerStats().commandsClaimed);
-    EXPECT_EQ(metrics.wire.sent, server.wireStats().sent);
+              server.scheduler().stats().commandsClaimed);
+    EXPECT_EQ(metrics.wire.sent, server.endpoint().stats().sent);
 }
 
 TEST(Tenancy, HeartbeatSummariesKeepRemoteLeasesAliveAcrossEdges) {

@@ -97,19 +97,14 @@ Energies runFlavor(const LjSystem& sys, KernelFlavor flavor,
 }
 
 void expectFlavorsAgree(const LjSystem& sys, double tol = 1e-10) {
-    std::vector<Vec3> fScalar, fBlocked, fSoa;
+    std::vector<Vec3> fScalar, fSoa;
     const auto eS = runFlavor(sys, KernelFlavor::Scalar, fScalar);
-    const auto eB = runFlavor(sys, KernelFlavor::Blocked4, fBlocked);
     const auto eA = runFlavor(sys, KernelFlavor::Soa, fSoa);
-    EXPECT_NEAR(eS.nonbonded, eB.nonbonded, tol);
     EXPECT_NEAR(eS.nonbonded, eA.nonbonded, tol);
-    EXPECT_NEAR(eS.coulomb, eB.coulomb, tol);
     EXPECT_NEAR(eS.coulomb, eA.coulomb, tol);
     EXPECT_NEAR(eS.pairVirial, eA.pairVirial, 1e-8);
-    for (std::size_t i = 0; i < fScalar.size(); ++i) {
-        EXPECT_NEAR(norm(fScalar[i] - fBlocked[i]), 0.0, tol);
+    for (std::size_t i = 0; i < fScalar.size(); ++i)
         EXPECT_NEAR(norm(fScalar[i] - fSoa[i]), 0.0, tol);
-    }
 }
 
 TEST(ForceField, AllKernelFlavorsAgreeOnChargedLJ) {
@@ -171,23 +166,6 @@ TEST(ForceField, ThreadedSoaIsDeterministicAcrossRuns) {
     ff.compute(sys.positions, f2);
     for (std::size_t i = 0; i < f1.size(); ++i)
         EXPECT_EQ(norm(f1[i] - f2[i]), 0.0);
-}
-
-TEST(ForceField, ScalarAndBlockedKernelsAgree) {
-    auto sys = makeLj(64, 8.0, 11, /*charges=*/true);
-    auto scalarParams = sys.params;
-    scalarParams.flavor = KernelFlavor::Scalar;
-    auto blockedParams = sys.params;
-    blockedParams.flavor = KernelFlavor::Blocked4;
-    ForceField ffS(sys.top, sys.box, scalarParams);
-    ForceField ffB(sys.top, sys.box, blockedParams);
-    std::vector<Vec3> fs, fb;
-    const auto es = ffS.compute(sys.positions, fs);
-    const auto eb = ffB.compute(sys.positions, fb);
-    EXPECT_NEAR(es.nonbonded, eb.nonbonded, 1e-10);
-    EXPECT_NEAR(es.coulomb, eb.coulomb, 1e-10);
-    for (std::size_t i = 0; i < fs.size(); ++i)
-        EXPECT_NEAR(norm(fs[i] - fb[i]), 0.0, 1e-10);
 }
 
 TEST(ForceField, ThreadedForcesMatchSerial) {

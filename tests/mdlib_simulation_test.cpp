@@ -7,7 +7,9 @@
 #include "mdlib/pdb.hpp"
 #include "mdlib/units.hpp"
 
+#include <cstring>
 #include <filesystem>
+#include <span>
 
 namespace cop::md {
 namespace {
@@ -60,6 +62,73 @@ TEST(Simulation, CheckpointRestoreContinuesBitExact) {
         EXPECT_EQ(simA.state().velocities[i], simB.state().velocities[i]);
     }
     EXPECT_EQ(simA.trajectory().numFrames(), simB.trajectory().numFrames());
+}
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Simulation, GoldenCheckpointHashAcrossBuilds) {
+    // A villin Go run at default settings. The expected size and hash were
+    // recorded before the Blocked4 flavor and the barostat were deleted;
+    // they pin the checkpoint format, the on-disk enum values
+    // (KernelFlavor::Soa is written as 2) and the default trajectory. Any
+    // change to any of them moves the hash.
+    const auto model = villinGoModel();
+    SimulationConfig cfg;
+    cfg.seed = 3;
+    auto sim = Simulation::forGoModel(model, model.native, cfg);
+    sim.initializeVelocities();
+    sim.run(200);
+    const auto blob = sim.checkpoint();
+    EXPECT_EQ(blob.size(), 13544u);
+    EXPECT_EQ(fnv1a(blob), 0xbde2ac7ed5cea1cdull);
+}
+
+TEST(Simulation, RestoreRejectsUnknownEnumValues) {
+    // Each enum field of a checkpoint, patched to a value no enumerator
+    // names, must fail the restore rather than restore into a run that
+    // integrates nothing or silently falls back to another kernel.
+    // Flavor 1 belonged to a retired kernel and stays invalid.
+    auto sim = makeSim(3, 10);
+    sim.run(20);
+    const auto blob = sim.checkpoint();
+    BinaryWriter topology;
+    sim.topology().serialize(topology);
+    // Header (magic, version), topology, box (periodic flag, lengths).
+    const std::size_t ff = 8 + topology.size() + 1 + 3 * sizeof(double);
+    // Force-field block: kind, flavor, six doubles, two flags, two doubles.
+    const std::size_t integrator = ff + 2 * 4 + 6 * 8 + 2 + 2 * 8;
+    const std::size_t thermostat = integrator + 4 + 8; // after kind, dt
+    const auto field = [&](std::size_t offset) {
+        std::int32_t v = 0;
+        std::memcpy(&v, blob.data() + offset, sizeof v);
+        return v;
+    };
+    ASSERT_EQ(field(ff), std::int32_t(NonbondedKind::GoRepulsive));
+    ASSERT_EQ(field(ff + 4), std::int32_t(KernelFlavor::Soa));
+    ASSERT_EQ(field(integrator), std::int32_t(IntegratorKind::LangevinBAOAB));
+    ASSERT_EQ(field(thermostat), std::int32_t(ThermostatKind::None));
+
+    struct Patch {
+        std::size_t offset;
+        std::int32_t value;
+    };
+    for (const Patch p : {Patch{ff, 2}, Patch{ff, -1}, Patch{ff + 4, 1},
+                          Patch{ff + 4, 9}, Patch{integrator, 7},
+                          Patch{thermostat, 4}}) {
+        SCOPED_TRACE("offset " + std::to_string(p.offset) + " value " +
+                     std::to_string(p.value));
+        auto bad = blob;
+        std::memcpy(bad.data() + p.offset, &p.value, sizeof p.value);
+        EXPECT_THROW(Simulation::restore(bad), cop::IoError);
+    }
+    EXPECT_NO_THROW(Simulation::restore(blob));
 }
 
 TEST(Simulation, CheckpointPreservesConfigAndTopology) {

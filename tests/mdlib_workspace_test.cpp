@@ -101,7 +101,6 @@ TEST_P(SteadyStateAllocations, SerialComputeIsAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(Flavors, SteadyStateAllocations,
                          ::testing::Values(KernelFlavor::Scalar,
-                                           KernelFlavor::Blocked4,
                                            KernelFlavor::Soa,
                                            KernelFlavor::SimdAuto));
 
@@ -137,7 +136,6 @@ TEST(ForceWorkspace, EnsureGrowsButNeverShrinks) {
     ws.ensure(200, 4); // larger: grows
     EXPECT_GE(ws.stride, 200u);
     EXPECT_EQ(ws.sf3.size(), 4 * 3 * ws.stride);
-    EXPECT_EQ(ws.aosBuffers.size(), 4u);
 }
 
 } // namespace

@@ -235,7 +235,7 @@ TEST(Chaos, DuplicateDeliveryIsIdempotent) {
     EXPECT_EQ(server.stats().commandsCompleted, 5u);
     EXPECT_GT(dep.network().faultStats().duplicated, 0u);
     EXPECT_GT(worker.wireStats().duplicatesDropped +
-                  server.wireStats().duplicatesDropped,
+                  server.metricsSnapshot().wire.duplicatesDropped,
               0u);
 }
 
@@ -263,8 +263,8 @@ TEST(Chaos, TransientPartitionHeals) {
     EXPECT_EQ(c->results.size(), 8u);
     EXPECT_GE(dep.network().faultStats().linkCuts, 1u);
     // The outage actually forced retransmissions somewhere.
-    std::uint64_t retransmits = s0.wireStats().retransmits +
-                                s1.wireStats().retransmits +
+    std::uint64_t retransmits = s0.metricsSnapshot().wire.retransmits +
+                                s1.metricsSnapshot().wire.retransmits +
                                 w0.wireStats().retransmits +
                                 w1.wireStats().retransmits;
     EXPECT_GT(retransmits, 0u);
@@ -318,9 +318,10 @@ TEST(Chaos, CheckpointHandoffUnderLossyLinks) {
     EXPECT_GE(server.stats().commandsRequeued, 1u);
     // The streamed checkpoints travelled the handoff path as shared
     // buffers: the scheduler adopted bytes by reference, never copying.
-    EXPECT_GT(server.schedulerStats().checkpointUpdates, 0u);
-    EXPECT_GT(server.schedulerStats().checkpointBytesShared, 0u);
-    EXPECT_EQ(server.schedulerStats().checkpointDeepCopies, 0u);
+    const auto scheduler = server.metricsSnapshot().scheduler;
+    EXPECT_GT(scheduler.checkpointUpdates, 0u);
+    EXPECT_GT(scheduler.checkpointBytesShared, 0u);
+    EXPECT_EQ(scheduler.checkpointDeepCopies, 0u);
     for (const auto& [id, traj] : msm->trajectories()) {
         for (std::size_t f = 1; f < traj.numFrames(); ++f)
             EXPECT_EQ(traj.frame(f).step - traj.frame(f - 1).step, 50)

@@ -1,4 +1,4 @@
-// Tests for histogram, thread pool, serialization, strings and tables.
+// Tests for the thread pool, serialization, strings and tables.
 
 #include <algorithm>
 #include <array>
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/cli.hpp"
-#include "util/histogram.hpp"
 #include "util/serialize.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -16,42 +15,6 @@
 
 namespace cop {
 namespace {
-
-TEST(Histogram, BinningAndOverflow) {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.99);
-    h.add(-1.0);
-    h.add(10.0); // hi edge counts as overflow
-    EXPECT_EQ(h.count(0), 1.0);
-    EXPECT_EQ(h.count(9), 1.0);
-    EXPECT_EQ(h.underflow(), 1.0);
-    EXPECT_EQ(h.overflow(), 1.0);
-    EXPECT_EQ(h.totalWeight(), 4.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-}
-
-TEST(Histogram, WeightedDensityIntegratesToOne) {
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.1, 2.0);
-    h.add(0.6, 6.0);
-    const auto d = h.density();
-    double integral = 0.0;
-    for (double v : d) integral += v * h.binWidth();
-    EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
-TEST(Histogram, FractionAbove) {
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-    EXPECT_NEAR(h.fractionAbove(5.0), 0.5, 1e-12);
-    EXPECT_NEAR(h.fractionAbove(0.0), 1.0, 1e-12);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), InvalidArgument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
-}
 
 TEST(ThreadPool, SubmitReturnsResults) {
     ThreadPool pool(3);
